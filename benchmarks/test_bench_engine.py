@@ -95,7 +95,7 @@ def _phase_breakdown(config, accelerated):
 
 def test_bench_engine_acceleration(benchmark):
     config = interfering_fbs_scenario(
-        n_gops=BENCH_GOPS, seed=BENCH_SEED, scheme="proposed-fast")
+        n_gops=BENCH_GOPS, seed=BENCH_SEED, scheme="proposed")
 
     def ab_comparison():
         with use_acceleration(False):
@@ -132,7 +132,7 @@ def test_bench_engine_acceleration(benchmark):
     ]
     report("Engine acceleration: scalar PHY/sensing oracle vs batched backend",
            "\n".join([
-               f"scenario         : interfering FBSs, proposed-fast, "
+               f"scenario         : interfering FBSs, proposed, "
                f"{BENCH_RUNS} runs x {BENCH_GOPS} GOPs",
                f"scalar oracle    : {base_s:8.2f} s",
                f"batched backend  : {accel_s:8.2f} s",
@@ -164,7 +164,7 @@ def test_bench_batched_allocation(benchmark):
     start equally cold.
     """
     config = interfering_fbs_scenario(
-        n_gops=BENCH_GOPS, seed=BENCH_SEED, scheme="proposed-fast")
+        n_gops=BENCH_GOPS, seed=BENCH_SEED, scheme="proposed")
 
     def ab_comparison():
         with use_acceleration(True):
@@ -229,7 +229,7 @@ def test_bench_batched_allocation(benchmark):
 
     report("Batched allocation: per-replication driver vs lockstep kernel",
            "\n".join([
-               f"scenario         : interfering FBSs, proposed-fast, "
+               f"scenario         : interfering FBSs, proposed, "
                f"{BATCH_BENCH_RUNS} runs x {BENCH_GOPS} GOPs",
                f"unbatched        : {base_s:8.2f} s "
                f"(allocation {base_alloc:7.2f} s)",
@@ -273,7 +273,7 @@ def test_bench_tracing_overhead(benchmark):
     this file reports.)
     """
     config = interfering_fbs_scenario(
-        n_gops=BENCH_GOPS, seed=BENCH_SEED, scheme="proposed-fast")
+        n_gops=BENCH_GOPS, seed=BENCH_SEED, scheme="proposed")
     for artifact in (BENCH_TRACE, BENCH_METRICS):
         if artifact.exists():
             artifact.unlink()
@@ -314,7 +314,7 @@ def test_bench_tracing_overhead(benchmark):
 
     report("Observability overhead: tracing+metrics off vs on (accelerated)",
            "\n".join([
-               f"scenario         : interfering FBSs, proposed-fast, "
+               f"scenario         : interfering FBSs, proposed, "
                f"{BENCH_RUNS} runs x {BENCH_GOPS} GOPs",
                f"tracing off      : {off_s:8.2f} s",
                f"tracing on       : {on_s:8.2f} s  (profile spans + metrics)",

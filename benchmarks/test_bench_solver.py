@@ -8,6 +8,10 @@ two produce bit-identical per-run metrics, and records the speedup into
 ``BENCH_solver.json`` so the acceleration work keeps a measured
 trajectory.
 
+Both legs run scheme ``proposed``, whose allocator is the subgradient
+solver the acceleration layers target (``proposed-fast`` solves exactly
+and has no iterate to accelerate or seed).
+
 A second leg checks the warm-start mode (``warm_start=True``), which is
 deliberately *not* bit-identical: seeding each slot's dual solve with the
 previous slot's multipliers changes the iterate path, so the contract is
@@ -22,7 +26,6 @@ from pathlib import Path
 from benchmarks.conftest import BENCH_GOPS, BENCH_RUNS, BENCH_SEED, report
 from repro.core.accel import use_acceleration
 from repro.core.allocator import ProposedAllocator
-from repro.core.dual import fast_solve
 from repro.core.problem import SlotProblem, UserDemand
 from repro.experiments.scenarios import interfering_fbs_scenario
 from repro.sim.checkpoint import run_metrics_to_dict
@@ -90,7 +93,7 @@ def _record_trajectory(entry):
 
 def test_bench_solver_acceleration(benchmark):
     config = interfering_fbs_scenario(
-        n_gops=BENCH_GOPS, seed=BENCH_SEED, scheme="proposed-fast")
+        n_gops=BENCH_GOPS, seed=BENCH_SEED, scheme="proposed")
 
     def ab_comparison():
         with use_acceleration(False):
@@ -116,7 +119,7 @@ def test_bench_solver_acceleration(benchmark):
     })
 
     report("Solver acceleration: scalar oracle vs vectorized fast path", "\n".join([
-        f"scenario         : interfering FBSs, proposed-fast, "
+        f"scenario         : interfering FBSs, proposed, "
         f"{BENCH_RUNS} runs x {BENCH_GOPS} GOPs",
         f"scalar oracle    : {base_s:8.2f} s",
         f"vectorized       : {accel_s:8.2f} s",
@@ -137,10 +140,11 @@ def test_bench_solver_warm_start(benchmark):
     problems = _drifting_problems()
 
     def warm_vs_cold():
-        warm_allocator = ProposedAllocator(fast=True, warm_start=True)
+        cold_allocator = ProposedAllocator()
+        warm_allocator = ProposedAllocator(warm_start=True)
         pairs = []
         for problem in problems:
-            cold = fast_solve(problem)
+            cold = cold_allocator.allocate(problem)
             warm = warm_allocator.allocate(problem)
             pairs.append((cold.objective, warm.objective))
         return pairs

@@ -4,6 +4,9 @@
   and (17)) decomposed from the multistage stochastic program (10).
 * :mod:`repro.core.dual` -- the optimum-achieving distributed algorithm
   (Tables I and II) via dual decomposition and projected subgradients.
+* :mod:`repro.core.exact` -- the exact star-structure solve of problem
+  (17) behind ``proposed-fast``, the greedy's ``Q(c)`` and the eq. (23)
+  relaxation bound.
 * :mod:`repro.core.greedy` -- the greedy FBS-channel allocation for
   interfering FBSs (Table III).
 * :mod:`repro.core.bounds` -- Theorem 2's ``1/(1+D_max)`` guarantee and the
@@ -18,6 +21,7 @@
 from repro.core.allocator import SCHEMES, get_allocator
 from repro.core.bounds import GreedyTrace, theorem2_factor, tighter_upper_bound
 from repro.core.dual import DualDecompositionSolver, DualSolution, fast_solve, flip_polish
+from repro.core.exact import exact_solve
 from repro.core.greedy import GreedyChannelAllocator, GreedyResult
 from repro.core.heuristics import EqualAllocationHeuristic, MultiuserDiversityHeuristic
 from repro.core.problem import Allocation, SlotProblem, UserDemand
@@ -35,6 +39,7 @@ __all__ = [
     "SCHEMES",
     "SlotProblem",
     "UserDemand",
+    "exact_solve",
     "exhaustive_reference_solution",
     "fast_solve",
     "flip_polish",

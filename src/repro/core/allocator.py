@@ -8,8 +8,9 @@ paper's allocators and registers them with the process-wide
 
 * ``"proposed"`` -- the paper's algorithm (dual decomposition; combined
   with greedy channel allocation by the engine when FBSs interfere).
-* ``"proposed-fast"`` -- same optimisation problem solved by the fast
-  exact-inner-solve variant (identical results, used for large sweeps).
+* ``"proposed-fast"`` -- the same per-slot problem solved to its exact
+  optimum by the star-structure solver (:mod:`repro.core.exact`), used
+  for large sweeps.
 * ``"heuristic1"`` / ``"heuristic2"`` -- the comparison schemes.
 
 The ``"graph-coloring"`` scheme lives in :mod:`repro.core.coloring`,
@@ -21,8 +22,8 @@ from __future__ import annotations
 
 from typing import Dict
 
-from repro.core.batch import SolveRequest, fast_solve_iter, fast_solve_warm_iter
-from repro.core.dual import DualDecompositionSolver, fast_solve, fast_solve_warm
+from repro.core.batch import SolveRequest
+from repro.core.dual import DualDecompositionSolver, fast_solve
 from repro.core.heuristics import EqualAllocationHeuristic, MultiuserDiversityHeuristic
 from repro.core.problem import Allocation, SlotProblem
 from repro.registry.schemes import SchemeInfo, register_scheme, scheme_registry
@@ -34,15 +35,18 @@ class ProposedAllocator:
     Parameters
     ----------
     fast:
-        Use the fast exact-inner solver instead of the literal subgradient
-        iteration.  Both solve the same convex program; the subgradient
-        version is the faithful distributed protocol, the fast version is
-        preferable inside parameter sweeps.
+        Use the exact star-structure solver (:func:`~repro.core.dual.fast_solve`)
+        instead of the literal subgradient iteration.  Both target the
+        same program; the subgradient version is the faithful distributed
+        protocol, the exact version reaches the optimum in closed form and
+        is preferable inside parameter sweeps.
     warm_start:
-        Seed each solve with the previous call's final multipliers
-        (consecutive slot problems drift slowly, so the warm dual point
-        is near-optimal).  Changes the iterate path -- solutions are
-        equal-or-better in objective, not bit-identical to cold solves.
+        Seed each subgradient solve with the previous call's final
+        multipliers (consecutive slot problems drift slowly, so the warm
+        dual point is near-optimal).  Changes the iterate path --
+        solutions are equal-or-better in objective, not bit-identical to
+        cold solves.  The exact solver has no iterate to seed, so
+        ``fast=True`` ignores it.
     solver_kwargs:
         Forwarded to :class:`DualDecompositionSolver` when ``fast=False``.
     """
@@ -62,8 +66,6 @@ class ProposedAllocator:
     def allocate(self, problem: SlotProblem) -> Allocation:
         """Solve one slot problem to (near-)optimality."""
         if self.fast:
-            if self.warm_start:
-                return fast_solve_warm(problem, self._warm)
             return fast_solve(problem)
         solution = self._solver.solve(
             problem,
@@ -76,19 +78,16 @@ class ProposedAllocator:
     def allocate_iter(self, problem: SlotProblem):
         """Generator form of :meth:`allocate` for the lockstep driver.
 
-        Yields the slot solve as a :class:`~repro.core.batch.SolveRequest`
-        and returns the :class:`~repro.core.problem.Allocation`.  Strict
-        and trace-recording solvers fall back to the inline scalar call
-        -- they need the solver instance's own bookkeeping (raising
-        :class:`~repro.utils.errors.ConvergenceError`, multiplier
-        traces), which a batched answer does not carry.
+        Yields the subgradient solve as a
+        :class:`~repro.core.batch.SolveRequest` and returns the
+        :class:`~repro.core.problem.Allocation`.  The exact solver
+        (``fast=True``), strict solvers and trace-recording solvers run
+        inline instead -- the last two need the solver instance's own
+        bookkeeping (raising :class:`~repro.utils.errors.ConvergenceError`,
+        multiplier traces), which a batched answer does not carry.
         """
         if self.fast:
-            if self.warm_start:
-                result = yield from fast_solve_warm_iter(problem, self._warm)
-            else:
-                result = yield from fast_solve_iter(problem)
-            return result
+            return fast_solve(problem)
         solver = self._solver
         if solver.strict or solver.record_trace:
             return self.allocate(problem)
@@ -127,12 +126,11 @@ register_scheme(SchemeInfo(
 register_scheme(SchemeInfo(
     name="proposed-fast",
     factory=_proposed_fast_factory,
-    batchable=True,
-    warm_startable=True,
     greedy_channels=True,
     accepts_options=True,
-    description="Same convex program via the fast exact-inner solver; "
-                "identical results, preferred for large sweeps.",
+    description="Same per-slot program solved exactly by the star-structure "
+                "solver; allocations differ from proposed's where its "
+                "subgradient stops short. Preferred for large sweeps.",
 ))
 register_scheme(SchemeInfo(
     name="heuristic1",

@@ -31,20 +31,17 @@ The module provides three layers:
   converges at iteration 37 returns the same iterate whether its batch
   mates run 37 or 5000 iterations.
 
-* Solve *generators* -- :func:`fast_solve_iter` and friends mirror the
-  scalar entry points of :mod:`repro.core.dual` but ``yield`` each
-  :class:`SolveRequest` instead of solving inline, so a driver can
-  interleave many call sites.  :func:`drive` runs such a generator
+* Solve *generators* -- call sites that ``yield`` each
+  :class:`SolveRequest` instead of solving inline (the ``proposed``
+  allocator's :meth:`~repro.core.allocator.ProposedAllocator.allocate_iter`
+  and the engine's slot body that delegates to it), so a driver can
+  interleave many of them.  :func:`drive` runs such a generator
   sequentially (answering each request with the real scalar solver),
   which is how the non-batched path executes the exact same code.
 
 * The ``use_batching`` switch, mirroring
   :mod:`repro.core.accel`: process-global, on by default, scoped off by
   differential tests, disabled by ``REPRO_BATCHED_ALLOCATION=0``.
-
-An optional numba JIT of the elementwise stage is feature-detected and
-**off by default** (``REPRO_NUMBA_BATCH=1`` opts in, and only if numba
-is importable); the numpy stage is the reference either way.
 """
 
 from __future__ import annotations
@@ -63,7 +60,6 @@ from repro.core.dual import (
     _STALL_PATIENCE,
     DualDecompositionSolver,
     DualSolution,
-    flip_polish,
 )
 from repro.core.problem import SlotProblem
 from repro.core.reference import solve_given_assignment
@@ -71,9 +67,6 @@ from repro.obs.metrics import ITERATION_BUCKETS, global_registry, metrics_enable
 
 #: Environment switch: ``0`` disables batched allocation process-wide.
 ENV_BATCHING = "REPRO_BATCHED_ALLOCATION"
-
-#: Opt-in switch for the numba JIT of the elementwise stage.
-ENV_NUMBA = "REPRO_NUMBA_BATCH"
 
 #: Tri-state in-process override: ``None`` follows the environment.
 _ENABLED: Optional[bool] = None
@@ -164,48 +157,6 @@ def drive(gen: SolveGenerator):
             request = gen.send(answer_request(request))
     except StopIteration as stop:
         return stop.value
-
-
-# -- solve generators mirroring repro.core.dual entry points -------------
-
-
-def fast_solve_iter(problem: SlotProblem, *, max_iterations: int = 400,
-                    polish: bool = True,
-                    initial_multipliers: Optional[Dict[int, float]] = None
-                    ) -> SolveGenerator:
-    """Generator form of :func:`repro.core.dual.fast_solve`.
-
-    The subgradient stage is yielded as a request (batchable); the
-    :func:`~repro.core.dual.flip_polish` stage stays sequential -- it is
-    a data-dependent local search over exact re-solves and measures a
-    few percent of the solve cost.
-    """
-    solution = yield SolveRequest(problem=problem,
-                                  max_iterations=max_iterations,
-                                  initial_multipliers=initial_multipliers)
-    if not polish:
-        return solution.allocation
-    return flip_polish(problem, solution.allocation)
-
-
-def fast_solve_warm_iter(problem: SlotProblem,
-                         warm_multipliers: Dict[int, float], *,
-                         max_iterations: int = 400,
-                         polish: bool = True) -> SolveGenerator:
-    """Generator form of :func:`repro.core.dual.fast_solve_warm`.
-
-    The warm store is read when the request is *created* and written
-    when the answer arrives; the owning generator is suspended in
-    between, so the store cannot be observed half-updated.
-    """
-    solution = yield SolveRequest(
-        problem=problem, max_iterations=max_iterations,
-        initial_multipliers=dict(warm_multipliers) or None)
-    warm_multipliers.clear()
-    warm_multipliers.update(solution.multipliers)
-    if not polish:
-        return solution.allocation
-    return flip_polish(problem, solution.allocation)
 
 
 # -- the stacked kernel ---------------------------------------------------
@@ -313,8 +264,6 @@ def _iteration_stage(lam0, lam_user, safe_lam0, safe_lam1, s_mbs, s_fbs,
     shares divide by the epsilon-guarded multipliers but the Lagrangian
     terms multiply by the *raw* ones, exactly as the scalar loop does
     (the distinction matters when a multiplier projects to zero).
-    Written without in-place tricks so the optional numba JIT can
-    compile the identical source.
     """
     rho0 = s_mbs / safe_lam0 - cost0
     rho0 = np.maximum(rho0, 0.0)
@@ -448,31 +397,6 @@ def _finish_single(member: _Member, lam: np.ndarray, start_t: int) -> None:
     member.final_lam = lam
 
 
-#: Resolved elementwise stage (numpy, or a numba JIT when opted in).
-_STAGE = None
-
-
-def _resolve_stage():
-    """Feature-detect the optional numba JIT of the elementwise stage.
-
-    Off by default: ``REPRO_NUMBA_BATCH=1`` opts in, and the JIT is used
-    only if numba imports and compiles cleanly.  Every fallback lands on
-    the reference numpy stage, so the environment can never change
-    results -- only speed.
-    """
-    global _STAGE
-    if _STAGE is None:
-        _STAGE = _iteration_stage
-        if os.environ.get(ENV_NUMBA, "0") == "1":
-            try:
-                import numba
-
-                _STAGE = numba.njit(cache=False)(_iteration_stage)
-            except Exception:  # pragma: no cover - numba not installed
-                _STAGE = _iteration_stage
-    return _STAGE
-
-
 def solve_requests(requests: Sequence[SolveRequest]) -> List[DualSolution]:
     """Answer a batch of solve requests with the stacked kernel.
 
@@ -510,7 +434,6 @@ def _solve_group(members: List[_Member], n_stations: int) -> None:
     iterations.  Frozen rows are compressed out of the stack (fancy
     indexing copies values exactly), never recomputed.
     """
-    stage = _resolve_stage()
     # Stack the per-member constants; row b of each array is member b's
     # (N,) vector, so elementwise ops per row match the scalar path.
     w = np.stack([m.w for m in members])
@@ -551,7 +474,7 @@ def _solve_group(members: List[_Member], n_stations: int) -> None:
             # one ``maximum`` here.
             safe_lam0 = np.maximum(lam0, _LAMBDA_EPS)
             safe_lam1 = np.maximum(lam_user, _LAMBDA_EPS)
-            rho0, rho1, choose_mbs = stage(
+            rho0, rho1, choose_mbs = _iteration_stage(
                 lam0, lam_user, safe_lam0, safe_lam1, s_mbs, s_fbs,
                 cost0, cost1, dead0, dead1, r_mbs, r_fbs_eff, w)
             # Reduction stage, also stacked, but with the scalar operand

@@ -24,13 +24,19 @@ larger; by Theorem 1 the optimal choice is binary.
 Two solvers are provided:
 
 * :class:`DualDecompositionSolver` -- the faithful subgradient iteration,
-  including the multiplier trace plotted in Fig. 4(a).
-* :func:`fast_solve` -- a capped subgradient run followed by exact
-  single-flip local search (:func:`flip_polish`), used where many
-  evaluations are needed (the greedy channel allocation of Table III
-  evaluates ``Q(c)`` hundreds of times per slot).  It returns the same
-  solutions as the full subgradient method on the paper's scenarios and
-  is validated against the exhaustive oracle in the test suite.
+  including the multiplier trace plotted in Fig. 4(a).  The ``proposed``
+  scheme runs it.
+* :func:`fast_solve` -- the exact star-structure solve of
+  :mod:`repro.core.exact` (only ``lambda_0`` dualised, per-FBS subset
+  tables, a fixed point on ``lambda_0``).  The ``proposed-fast`` scheme,
+  the greedy channel allocation's ``Q(c)`` evaluations (Table III) and
+  the eq. (23) relaxation bound use it; it is checked against the
+  exhaustive oracle in the test suite.
+
+:func:`flip_polish` -- exact single-flip local search from any binary
+assignment -- finishes a capped subgradient run; the test suite uses it
+to build the capped-solve reference the exact solver must never fall
+below.
 """
 
 from __future__ import annotations
@@ -38,12 +44,12 @@ from __future__ import annotations
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Set
 
 import numpy as np
 
 from repro.core.accel import acceleration_enabled
+from repro.core.exact import exact_solve
 from repro.core.problem import Allocation, SlotProblem
 from repro.core.reference import compile_slot_problem, solve_given_assignment
 from repro.obs.metrics import ITERATION_BUCKETS, global_registry, metrics_enabled
@@ -333,70 +339,8 @@ def _branch_share(success: np.ndarray, lam, w: np.ndarray,
     return raw
 
 
-@lru_cache(maxsize=16)
-def _fast_solver(max_iterations: int) -> DualDecompositionSolver:
-    """Shared solver instances for :func:`fast_solve`, keyed on the budget.
-
-    The solver is stateless across calls, so instances can be shared
-    freely; ``lru_cache`` keeps one per distinct ``max_iterations`` and is
-    safe under concurrent callers (threads or forked workers each resolve
-    to an equivalent instance), unlike the old single module-global slot
-    which thrashed and raced when two budgets alternated.
-    """
-    return DualDecompositionSolver(max_iterations=max_iterations)
-
-
-def fast_solve(problem: SlotProblem, *, max_iterations: int = 400,
-               polish: bool = True,
-               initial_multipliers: Optional[Dict[int, float]] = None) -> Allocation:
-    """Fast solver: capped subgradient run plus single-flip local search.
-
-    Runs the Table I/II iteration with a reduced budget, then polishes the
-    resulting binary assignment by exact single-user flips (each candidate
-    evaluated with the exact water-filling oracle).  On randomized
-    instances this matches the exhaustive optimum (see the test suite)
-    while being fast enough for the greedy channel allocation's many
-    ``Q(c)`` evaluations.
-
-    Parameters
-    ----------
-    problem:
-        The slot problem.
-    max_iterations:
-        Subgradient budget before the polish stage.
-    polish:
-        Disable to get the raw capped-subgradient solution.
-    initial_multipliers:
-        Warm start, useful across consecutive ``Q`` evaluations.
-    """
-    solution = _fast_solver(max_iterations).solve(
-        problem, initial_multipliers=initial_multipliers)
-    if not polish:
-        return solution.allocation
-    return flip_polish(problem, solution.allocation)
-
-
-def fast_solve_warm(problem: SlotProblem, warm_multipliers: Dict[int, float], *,
-                    max_iterations: int = 400, polish: bool = True) -> Allocation:
-    """:func:`fast_solve` with a persistent warm-start multiplier store.
-
-    ``warm_multipliers`` is read as the initial dual point (when
-    non-empty) and replaced in place with the final multipliers, so a
-    caller holding one dict across consecutive slots chains each solve
-    off the previous slot's dual optimum.  Per-slot problems drift slowly
-    (the PSNR states ``W_j`` move by one slot's increment), so the warm
-    dual point is near-optimal and the subgradient loop converges in far
-    fewer iterations.  Note the warm-started iterate path differs from a
-    cold solve, so allocations are not bit-identical to cold ones -- the
-    benchmark asserts they are equal-or-better in objective instead.
-    """
-    solution = _fast_solver(max_iterations).solve(
-        problem, initial_multipliers=dict(warm_multipliers) or None)
-    warm_multipliers.clear()
-    warm_multipliers.update(solution.multipliers)
-    if not polish:
-        return solution.allocation
-    return flip_polish(problem, solution.allocation)
+#: The package's public fast entry point: the exact solver.
+fast_solve = exact_solve
 
 
 def flip_polish(problem: SlotProblem, allocation: Allocation, *,
@@ -405,9 +349,8 @@ def flip_polish(problem: SlotProblem, allocation: Allocation, *,
 
     Repeatedly flips single users between MBS and FBS, re-solving the
     (convex) time-share problem exactly after each candidate flip, until
-    no flip improves the objective.  Starting from the dual iterate this
-    reliably removes the rare residual assignment error of a capped
-    subgradient run.
+    no flip improves the objective.  Starting from a subgradient iterate
+    this removes most of the residual assignment error of a capped run.
     """
     if acceleration_enabled():
         # Compile once: the K solves per sweep then skip the per-call

@@ -10,8 +10,9 @@ largest marginal objective gain:
 
 then removes the chosen pair and its conflicting neighbour pairs
 ``R(i') x {m'}`` from the candidate set.  ``Q(c)`` is the optimal value of
-problem (17) given the channel allocation ``c`` (computed by the Table II
-algorithm; we use the fast exact-inner solver by default).
+problem (17) given the channel allocation ``c``; by default it is computed
+by the exact star-structure solver of :mod:`repro.core.exact`, so every
+argmax below compares optima rather than capped-solver approximations.
 
 Implementation note: ``Q`` is nondecreasing in every ``G_i`` (raising
 ``G_i`` enlarges the FBS-branch utilities pointwise over an unchanged
@@ -31,9 +32,9 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 import networkx as nx
 
-from repro.core.batch import SolveRequest, drive, fast_solve_iter
 from repro.core.bounds import GreedyStep, GreedyTrace
 from repro.core.dual import fast_solve
+from repro.core.exact import exact_objective
 from repro.core.problem import Allocation, SlotProblem
 from repro.obs.metrics import global_registry, metrics_enabled
 from repro.utils.errors import ConfigurationError
@@ -82,12 +83,10 @@ class GreedyChannelAllocator:
     interference_graph:
         Graph over FBS ids (Definition 1).
     solver:
-        Inner solver evaluating ``Q(c)``; ``None`` (default) uses a
-        warm-started, iteration-capped dual solve for the evaluations and
-        the full :func:`~repro.core.dual.fast_solve` for the final
-        allocation.
-    eval_iterations:
-        Subgradient budget per ``Q`` evaluation on the default path.
+        Inner solver evaluating ``Q(c)``; ``None`` (default) uses the
+        exact solver (:func:`~repro.core.exact.exact_objective` for the
+        evaluations, :func:`~repro.core.dual.fast_solve` for the final
+        allocation).
     exhaustive_scan:
         Evaluate every candidate pair each step (the literal Table III
         loop) instead of only each FBS's best remaining channel.
@@ -96,31 +95,17 @@ class GreedyChannelAllocator:
         allocation matrix ``c`` only through the per-FBS sums ``G_i =
         sum_m c_{i,m} P^A_m`` (problem (17) never sees individual
         channels), so candidates with equal ``G`` vectors are literally
-        the same problem.  On the default (warm-started) evaluation path
-        the memo key additionally includes the current warm multipliers,
-        so a hit is by construction the same solver input -- memoized
-        runs are bit-identical to unmemoized ones.
-    warm_start:
-        Persist the evaluation warm-start multipliers *across*
-        ``allocate`` calls (consecutive slots) instead of starting each
-        slot cold.  Changes the dual iterate path, so results are no
-        longer bit-identical to cold runs (they are equal-or-better in
-        objective; see the solver benchmark).  Off by default.
+        the same problem, and the memo is keyed on that vector.
     """
 
     def __init__(self, interference_graph: nx.Graph, *,
                  solver: Optional[SolverFn] = None,
-                 eval_iterations: int = 150,
                  exhaustive_scan: bool = False,
-                 memoize: bool = True,
-                 warm_start: bool = False) -> None:
+                 memoize: bool = True) -> None:
         self.graph = interference_graph
         self.solver = solver
-        self.eval_iterations = int(eval_iterations)
         self.exhaustive_scan = bool(exhaustive_scan)
         self.memoize = bool(memoize)
-        self.warm_start = bool(warm_start)
-        self._persistent_warm: Dict[int, float] = {}
 
     def allocate(self, problem: SlotProblem, available_channels: Sequence[int],
                  posteriors: Dict[int, float], *,
@@ -148,23 +133,6 @@ class GreedyChannelAllocator:
             If an available channel has no posterior, or an FBS with users
             is missing from the interference graph.
         """
-        return drive(self.allocate_iter(problem, available_channels,
-                                        posteriors, final_solve=final_solve))
-
-    def allocate_iter(self, problem: SlotProblem,
-                      available_channels: Sequence[int],
-                      posteriors: Dict[int, float], *,
-                      final_solve: bool = True):
-        """Generator form of :meth:`allocate`.
-
-        Yields one :class:`~repro.core.batch.SolveRequest` per inner
-        ``Q(c)`` solve (and the final solve), returning the
-        :class:`GreedyResult`.  The evaluations within one slot are
-        inherently sequential -- each solve warm-starts from the
-        previous one's multipliers, and the memo key includes that warm
-        state -- so batching happens *across* engines driving this
-        generator in lockstep, never across candidates.
-        """
         fbs_ids = problem.fbs_ids
         missing_nodes = [i for i in fbs_ids if i not in self.graph]
         if missing_nodes:
@@ -186,68 +154,37 @@ class GreedyChannelAllocator:
             return {i: sum(posteriors[m] for m in channels)
                     for i, channels in alloc.items()}
 
-        # Q(c) memo (see class docstring): the key is the G vector the
-        # allocation induces -- plus, on the warm-started default path,
-        # the warm multipliers the solve would start from, which makes a
-        # hit the exact same solver input as the original evaluation.
-        memo: Dict[tuple, object] = {}
-
-        if self.solver is not None:
-            def q_of(alloc: Dict[int, Set[int]]) -> float:
-                nonlocal evaluations, cache_hits
-                g = g_of(alloc)
-                key = tuple(g[i] for i in fbs_ids)
-                if self.memoize:
-                    hit = memo.get(key)
-                    if hit is not None:
-                        cache_hits += 1
-                        return hit
-                evaluations += 1
-                objective = self.solver(
-                    problem.with_expected_channels(g)).objective
-                if self.memoize:
-                    memo[key] = objective
-                return objective
-                yield  # unreachable: gives q_of the generator protocol
+        # Q(c) memo (see class docstring), keyed on the induced G vector.
+        memo: Dict[tuple, float] = {}
+        solver = self.solver
+        if solver is None:
+            q_solve = exact_objective
         else:
-            # Default evaluation path: a capped subgradient run per Q(c),
-            # warm-started from the previous evaluation's multipliers --
-            # consecutive candidate allocations differ by one channel, so
-            # the dual variables barely move between evaluations.
-            warm = self._persistent_warm if self.warm_start else {}
+            def q_solve(candidate: SlotProblem) -> float:
+                return solver(candidate).objective
 
-            def q_of(alloc: Dict[int, Set[int]]) -> float:
-                nonlocal evaluations, cache_hits
-                g = g_of(alloc)
-                if self.memoize:
-                    key = (tuple(g[i] for i in fbs_ids),
-                           tuple(sorted(warm.items())))
-                    hit = memo.get(key)
-                    if hit is not None:
-                        cache_hits += 1
-                        objective, multipliers = hit
-                        # Replay the original evaluation's effect on the
-                        # warm state so subsequent solves are unchanged.
-                        warm.update(multipliers)
-                        return objective
-                solution = yield SolveRequest(
-                    problem=problem.with_expected_channels(g),
-                    max_iterations=self.eval_iterations,
-                    initial_multipliers=dict(warm) or None)
-                evaluations += 1
-                if self.memoize:
-                    memo[key] = (solution.allocation.objective,
-                                 dict(solution.multipliers))
-                warm.update(solution.multipliers)
-                return solution.allocation.objective
+        def q_of(alloc: Dict[int, Set[int]]) -> float:
+            nonlocal evaluations, cache_hits
+            g = g_of(alloc)
+            key = tuple(g[i] for i in fbs_ids)
+            if self.memoize:
+                hit = memo.get(key)
+                if hit is not None:
+                    cache_hits += 1
+                    return hit
+            evaluations += 1
+            objective = q_solve(problem.with_expected_channels(g))
+            if self.memoize:
+                memo[key] = objective
+            return objective
 
-        q_empty = yield from q_of(allocation_map)
+        q_empty = q_of(allocation_map)
         q_current = q_empty
 
-        def q_with(pair: Tuple[int, int]):
+        def q_with(pair: Tuple[int, int]) -> float:
             trial = {k: set(v) for k, v in allocation_map.items()}
             trial[pair[0]].add(pair[1])
-            return (yield from q_of(trial))
+            return q_of(trial)
 
         while candidates:
             scan = (candidates if self.exhaustive_scan
@@ -256,7 +193,7 @@ class GreedyChannelAllocator:
             best_pair = None
             best_q = None
             for pair in sorted(scan):
-                q_trial = yield from q_with(pair)
+                q_trial = q_with(pair)
                 step_evals[pair] = q_trial
                 if best_q is None or q_trial > best_q:
                     best_q = q_trial
@@ -281,7 +218,7 @@ class GreedyChannelAllocator:
             for pair in pruned:
                 q_pair = step_evals.get(pair)
                 if q_pair is None:
-                    q_pair = yield from q_with(pair)
+                    q_pair = q_with(pair)
                 conflict_gain_sum += min(max(0.0, q_pair - q_current), gain)
             allocation_map[i_star].add(m_star)
             q_current = max(q_current, best_q)
@@ -296,12 +233,8 @@ class GreedyChannelAllocator:
         expected = g_of(allocation_map)
         final_allocation = None
         if final_solve:
-            if self.solver is not None:
-                final_allocation = self.solver(
-                    problem.with_expected_channels(expected))
-            else:
-                final_allocation = yield from fast_solve_iter(
-                    problem.with_expected_channels(expected))
+            final_allocation = (self.solver or fast_solve)(
+                problem.with_expected_channels(expected))
         trace = GreedyTrace(steps=tuple(steps), q_empty=q_empty, q_final=q_current)
         if metrics_enabled():
             registry = global_registry()
@@ -315,6 +248,21 @@ class GreedyChannelAllocator:
             evaluations=evaluations,
             cache_hits=cache_hits,
         )
+
+    def allocate_iter(self, problem: SlotProblem,
+                      available_channels: Sequence[int],
+                      posteriors: Dict[int, float], *,
+                      final_solve: bool = True):
+        """Generator form of :meth:`allocate` for slot generators.
+
+        Every ``Q(c)`` evaluation is solved inline, so it yields no
+        :class:`~repro.core.batch.SolveRequest`; the engine's slot body
+        delegates to it with ``yield from`` and gets the
+        :class:`GreedyResult` back.
+        """
+        return self.allocate(problem, available_channels, posteriors,
+                             final_solve=final_solve)
+        yield  # unreachable: makes this a generator function
 
 
 def _best_channel_per_fbs(candidates: Set[Tuple[int, int]],

@@ -238,6 +238,11 @@ class CompiledSlotProblem:
         # station 0 is the MBS (g None there).  Bounded by the number of
         # distinct groups one slot's solvers actually visit.
         self._group_cache: Dict[tuple, Tuple[List[float], float]] = {}
+        # State of the exact solver (repro.core.exact): its per-user-set
+        # layout and the per-(FBS, G_i) subset-value tables, shared by
+        # every Q(c) variant of one slot.
+        self.exact_layout = None
+        self.fbs_tables: Dict[tuple, np.ndarray] = {}
 
     def _group_solution(self, station: int, members: tuple,
                         g: Optional[float]) -> Tuple[List[float], float]:

@@ -5,9 +5,11 @@ the execution layers consult instead of hard-coded name lists:
 
 * ``batchable`` -- the allocator exposes ``allocate_iter`` yielding
   :class:`~repro.core.batch.SolveRequest` objects, so replications may
-  advance in lockstep (:mod:`repro.sim.lockstep`).  The lockstep driver
-  verifies the claim at group-formation time and refuses (with a
-  counter) allocators that cannot actually yield.
+  advance in lockstep (:mod:`repro.sim.lockstep`).  Among the built-ins
+  only ``proposed`` yields; ``proposed-fast`` solves exactly and
+  inline.  The lockstep driver verifies the claim at group-formation
+  time and refuses (with a counter) allocators that cannot actually
+  yield.
 * ``warm_startable`` -- the factory accepts ``warm_start=True``; the
   engine forwards the config's ``warm_start`` switch only to schemes
   carrying this flag.

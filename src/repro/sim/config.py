@@ -93,14 +93,14 @@ class ScenarioConfig:
         Results are bit-identical either way; off only for benchmarking
         the unmemoized path.
     warm_start:
-        Carry the dual solvers' multipliers across consecutive slots
-        (greedy ``Q`` evaluations, the proposed allocator, and the
-        eq. (23) relaxation bound solve).  Per-slot problems drift
-        slowly, so warm dual points cut subgradient iterations
-        substantially -- but the iterate path changes, so results are
-        near-identical rather than bit-identical to cold runs (the
-        solver benchmark asserts equal-or-better per-slot objectives).
-        Off by default to preserve reproducibility guarantees.
+        Carry the ``proposed`` allocator's subgradient multipliers across
+        consecutive slots.  Per-slot problems drift slowly, so warm dual
+        points cut subgradient iterations -- but the iterate path
+        changes, so results are near-identical rather than bit-identical
+        to cold runs.  The exact solver (``proposed-fast``, the greedy's
+        ``Q`` evaluations, the eq. (23) relaxation bound) has no iterate
+        to seed and ignores it.  Off by default to preserve
+        reproducibility guarantees.
     seed:
         Root RNG seed; ``None`` for fresh entropy.
     fault_plan:

@@ -30,8 +30,9 @@ from typing import Dict, List, Optional, Set
 import numpy as np
 
 from repro.core.accel import acceleration_enabled
-from repro.core.batch import drive, fast_solve_iter, fast_solve_warm_iter
+from repro.core.batch import drive
 from repro.core.bounds import GreedyTrace, tighter_upper_bound
+from repro.core.exact import exact_objective
 from repro.core.greedy import GreedyChannelAllocator
 from repro.core.problem import Allocation, SlotProblem, UserDemand
 from repro.registry.schemes import scheme_registry
@@ -186,11 +187,8 @@ class SimulationEngine:
         self._interfering = built.interfering
         self._fbs_ids = list(built.fbs_ids)
         self._greedy = (GreedyChannelAllocator(topology.interference_graph,
-                                               memoize=config.memoize_q,
-                                               warm_start=config.warm_start)
+                                               memoize=config.memoize_q)
                         if self._interfering else None)
-        # Warm-start store for the per-slot eq. (23) relaxation bound solve.
-        self._relaxed_warm: Dict[int, float] = {}
         #: Cumulative wall-clock seconds per engine phase (profiling;
         #: excluded from serialized results -- timings are not
         #: deterministic, unlike everything else the engine emits).
@@ -480,11 +478,11 @@ class SimulationEngine:
     def _step_iter(self, tracer):
         """Generator form of the slot body (lockstep batching).
 
-        Every dual solve of the allocation phase -- the greedy's Q(c)
-        evaluations, the eq. (23) relaxation bound, the fallback chain's
-        scheme solve -- is yielded as a
-        :class:`~repro.core.batch.SolveRequest`; everything else
-        (sensing, access, transmission) runs inline.  Driven either
+        The subgradient solve of the ``proposed`` scheme (via the
+        fallback chain) is yielded as a
+        :class:`~repro.core.batch.SolveRequest`; everything else --
+        sensing, access, the greedy's exact ``Q(c)`` evaluations, the
+        eq. (23) relaxation bound, transmission -- runs inline.  Driven either
         sequentially by :func:`~repro.core.batch.drive` (exact scalar
         execution) or in lockstep with sibling replications by
         :mod:`repro.sim.lockstep`.
@@ -570,14 +568,9 @@ class SimulationEngine:
             # (Q is nondecreasing in every G_i, so granting all FBSs the
             # whole access set cannot be worse than any conflict-free
             # allocation).  Take the tighter of the two.
-            relaxed_problem = problem.with_expected_channels(
-                {i: access.expected_available for i in fbs_ids})
-            if config.warm_start:
-                relaxed = yield from fast_solve_warm_iter(
-                    relaxed_problem, self._relaxed_warm)
-            else:
-                relaxed = yield from fast_solve_iter(relaxed_problem)
-            bound_q = min(tighter_upper_bound(greedy_trace), relaxed.objective)
+            relaxed_q = exact_objective(problem.with_expected_channels(
+                {i: access.expected_available for i in fbs_ids}))
+            bound_q = min(tighter_upper_bound(greedy_trace), relaxed_q)
             bound_gap = max(0.0, bound_q - greedy_trace.q_final)
         else:
             channel_map = color_partition_allocation(

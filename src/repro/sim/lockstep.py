@@ -1,11 +1,12 @@
 """Cross-replication lockstep batching of the allocation phase.
 
-The dual solves inside one slot are inherently sequential (each greedy
-``Q(c)`` evaluation warm-starts from the previous one), but *different
-replications* of the same scenario are completely independent -- and,
-sharing one :class:`~repro.sim.build.BuiltScenario`, they produce slot
-problems of identical shape.  This module advances B sibling engines in
-lockstep through their slot generators (:meth:`SimulationEngine._step_iter`),
+One replication issues one subgradient solve per slot (the ``proposed``
+scheme's; every other solve is exact and inline), and its result feeds
+the next slot, but *different replications* of the same scenario are
+completely independent -- and, sharing one
+:class:`~repro.sim.build.BuiltScenario`, they produce slot problems of
+identical shape.  This module advances B sibling engines in lockstep
+through their slot generators (:meth:`SimulationEngine._step_iter`),
 collects the :class:`~repro.core.batch.SolveRequest` each yields, and
 answers a whole round with one call to the stacked kernel
 (:func:`~repro.core.batch.solve_requests`).

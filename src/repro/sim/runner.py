@@ -126,10 +126,9 @@ def _absorb_outcome(outcome) -> None:
     """Fold one executed cell's telemetry into the parent registry.
 
     Called from the parent-side collection loops only (never in
-    workers), mirroring the single-writer checkpointing rule.
+    workers), mirroring the single-writer checkpointing rule, and always
+    through :class:`_PlanOrderAbsorber`.
     """
-    if not metrics_enabled():
-        return
     registry = global_registry()
     registry.counter("repro_executor_cells_total").inc()
     registry.counter("repro_executor_busy_seconds_total").inc(
@@ -137,6 +136,39 @@ def _absorb_outcome(outcome) -> None:
     snapshot = getattr(outcome.result, "obs_snapshot", None)
     if snapshot:
         registry.absorb(snapshot)
+
+
+class _PlanOrderAbsorber:
+    """Fold cell telemetry in plan order, whatever order cells finish in.
+
+    Histogram sums are float accumulations, so folding worker snapshots
+    in completion order would make the totals depend on scheduling.
+    Outcomes are buffered and absorbed as soon as every earlier cell of
+    ``cells`` has been absorbed; :meth:`flush` folds what is left (the
+    cells after a gap left by an interrupted run) in plan order.
+    """
+
+    def __init__(self, cells) -> None:
+        self._enabled = metrics_enabled()
+        # A degenerate sweep may plan one key twice; equal keys are the
+        # same computation, so either arrival may take either position.
+        self._positions: Dict[str, List[int]] = {}
+        for index, cell in enumerate(cells):
+            self._positions.setdefault(cell.key, []).append(index)
+        self._buffer: Dict[int, object] = {}
+        self._next = 0
+
+    def add(self, outcome) -> None:
+        if not self._enabled:
+            return
+        self._buffer[self._positions[outcome.cell.key].pop(0)] = outcome
+        while self._next in self._buffer:
+            _absorb_outcome(self._buffer.pop(self._next))
+            self._next += 1
+
+    def flush(self) -> None:
+        for index in sorted(self._buffer):
+            _absorb_outcome(self._buffer.pop(index))
 
 
 class MonteCarloRunner:
@@ -223,9 +255,13 @@ class MonteCarloRunner:
             else make_executor(self.jobs, cell_timeout=self.cell_timeout,
                                deadline=self.deadline)
         by_index: Dict[int, Union[RunMetrics, FailedRun]] = {}
-        for outcome in executor.run(plan.cells):
-            _absorb_outcome(outcome)
-            by_index[outcome.cell.run_index] = outcome.result
+        absorber = _PlanOrderAbsorber(plan.cells)
+        try:
+            for outcome in executor.run(plan.cells):
+                absorber.add(outcome)
+                by_index[outcome.cell.run_index] = outcome.result
+        finally:
+            absorber.flush()
         if len(by_index) < len(plan.cells):
             # The executor drained early under a shutdown signal; a
             # campaign has no checkpoint, so nothing survives -- report
@@ -442,6 +478,7 @@ def sweep(base_config: ScenarioConfig, parameter: str, values: Sequence[object],
         # checkpoint fsync before exiting, so every recorded cell is
         # durable even then.
         coordinator.add_flusher(checkpoint.sync)
+    absorber = _PlanOrderAbsorber(pending)
     try:
         for outcome in executor.run(pending):
             # Single-writer checkpointing: results stream back to the
@@ -449,11 +486,12 @@ def sweep(base_config: ScenarioConfig, parameter: str, values: Sequence[object],
             # each arrives.
             if checkpoint is not None:
                 checkpoint.record(outcome.cell.key, outcome.result)
-            _absorb_outcome(outcome)
+            absorber.add(outcome)
             completed[outcome.cell.key] = outcome.result
             if progress is not None and hasattr(progress, "observe"):
                 progress.observe(outcome)
     finally:
+        absorber.flush()
         if coordinator is not None and checkpoint is not None:
             coordinator.remove_flusher(checkpoint.sync)
 

@@ -22,12 +22,10 @@ from repro.core.batch import (
     _masked_row_sums,
     answer_request,
     drive,
-    fast_solve_iter,
-    fast_solve_warm_iter,
     solve_requests,
     use_batching,
 )
-from repro.core.dual import fast_solve, fast_solve_warm
+from repro.core.allocator import ProposedAllocator
 from repro.exec.plan import plan_campaign
 from repro.experiments.scenarios import single_fbs_scenario
 from repro.sim.checkpoint import run_metrics_to_dict
@@ -171,29 +169,23 @@ class TestMaskedRowSums:
 
 
 class TestSolveGenerators:
-    def test_drive_fast_solve_iter_matches_inline(self):
+    def test_drive_allocator_iter_matches_inline(self):
+        # The proposed allocator's generator form yields its subgradient
+        # solve; driving it answers the request with the scalar solver.
         problem = make_problem(4, seed=9)
         with use_acceleration(True):
-            expected = fast_solve(problem)
-            got = drive(fast_solve_iter(problem))
+            expected = ProposedAllocator().allocate(problem)
+            got = drive(ProposedAllocator().allocate_iter(problem))
         assert got == expected
 
-    def test_drive_without_polish(self):
-        problem = make_problem(3, seed=2)
-        with use_acceleration(True):
-            expected = fast_solve(problem, polish=False)
-            got = drive(fast_solve_iter(problem, polish=False))
-        assert got == expected
-
-    def test_warm_iter_round_trips_the_store(self):
-        problem = make_problem(3, seed=4)
-        with use_acceleration(True):
-            store_gen, store_inline = {}, {}
-            got = drive(fast_solve_warm_iter(problem, store_gen))
-            expected = fast_solve_warm(problem, store_inline)
-        assert got == expected
-        assert store_gen == store_inline
-        assert store_gen  # the answered multipliers were written back
+    def test_fast_allocator_iter_yields_nothing(self):
+        # proposed-fast solves exactly and inline: its generator returns
+        # on the first send without yielding a SolveRequest.
+        problem = make_problem(4, seed=9)
+        gen = ProposedAllocator(fast=True).allocate_iter(problem)
+        with pytest.raises(StopIteration) as stop:
+            gen.send(None)
+        assert stop.value.value == ProposedAllocator(fast=True).allocate(problem)
 
 
 class TestPlanBatchGroups:
@@ -201,7 +193,7 @@ class TestPlanBatchGroups:
         config = single_fbs_scenario(n_gops=1,
                                      seed=overrides.pop("seed", 31),
                                      scheme=overrides.pop("scheme",
-                                                          "proposed-fast"),
+                                                          "proposed"),
                                      **overrides)
         return plan_campaign(config, n_runs).cells
 
@@ -257,7 +249,7 @@ def _campaign(config, *, batched, token, n_runs=3):
 class TestCampaignDifferential:
     def test_batched_campaign_bit_identical_to_unbatched(self):
         config = single_fbs_scenario(n_gops=1, seed=1234,
-                                     scheme="proposed-fast")
+                                     scheme="proposed")
         base = _campaign(config, batched=False, token="unbatched")
         batched = _campaign(config, batched=True, token="batched")
         assert _fingerprint(base) == _fingerprint(batched)
@@ -270,7 +262,7 @@ class TestCampaignDifferential:
         from repro.utils.errors import ReproError
 
         config = single_fbs_scenario(n_gops=1, seed=56,
-                                     scheme="proposed-fast")
+                                     scheme="proposed")
         base = _campaign(config, batched=False, token="escape-base")
 
         def refuse(requests):
@@ -291,7 +283,7 @@ class TestCampaignDifferential:
         )
 
         config = single_fbs_scenario(n_gops=1, seed=90,
-                                     scheme="proposed-fast")
+                                     scheme="proposed")
         enable_metrics(True)
         try:
             with scoped_registry():
@@ -319,7 +311,7 @@ class TestCampaignDifferential:
                             lambda *args, **kwargs: baseline(*args, **kwargs))
         assert executor_mod._interception_active()
         config = single_fbs_scenario(n_gops=1, seed=17,
-                                     scheme="proposed-fast")
+                                     scheme="proposed")
         from repro.obs.metrics import (
             enable_metrics,
             reset_metrics,
@@ -355,12 +347,12 @@ def test_pool_jobs_invariant_with_batching(tmp_path, monkeypatch, store_on):
     reset_default_store()
     try:
         config = single_fbs_scenario(n_gops=1, seed=77,
-                                     scheme="proposed-fast")
+                                     scheme="proposed")
         serialised = {}
         for jobs in (1, 2):
             checkpoint = tmp_path / f"jobs{jobs}-store{store_on}.jsonl"
             with use_acceleration(True), use_batching(True):
-                result = sweep(config, "n_channels", [6], ["proposed-fast"],
+                result = sweep(config, "n_channels", [6], ["proposed"],
                                n_runs=3, jobs=jobs,
                                checkpoint_path=str(checkpoint))
             serialised[jobs] = json.dumps(sweep_to_dict(result),

@@ -114,39 +114,3 @@ class TestDegenerateProblems:
         solution = DualDecompositionSolver().solve(problem)
         assert set(solution.multipliers) == {0, 1, 2}
         assert all(value >= 0.0 for value in solution.multipliers.values())
-
-
-class TestFastSolverCache:
-    """The fast_solve solver cache is keyed on the budget and shareable."""
-
-    def test_same_budget_shares_one_instance(self):
-        from repro.core.dual import _fast_solver
-        assert _fast_solver(400) is _fast_solver(400)
-
-    def test_distinct_budgets_coexist(self):
-        # The old module-global slot thrashed when budgets alternated;
-        # the keyed cache must keep both alive simultaneously.
-        from repro.core.dual import _fast_solver
-        a = _fast_solver(100)
-        b = _fast_solver(200)
-        assert a.max_iterations == 100
-        assert b.max_iterations == 200
-        assert _fast_solver(100) is a
-        assert _fast_solver(200) is b
-
-    def test_concurrent_fast_solve_with_alternating_budgets(self):
-        from concurrent.futures import ThreadPoolExecutor
-
-        from repro.core.dual import fast_solve
-
-        problem = make_problem(3)
-        expected = fast_solve(problem).objective
-
-        def solve(budget):
-            return fast_solve(problem, max_iterations=budget).objective
-
-        budgets = [400, 300, 400, 300] * 4
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            results = list(pool.map(solve, budgets))
-        assert all(obj == pytest.approx(expected, abs=1e-9)
-                   for obj in results)

@@ -70,7 +70,7 @@ class TestSweepLevel:
         assert any(e["kind"] == "replication" for e in trace)
         metrics_text = (tmp_path / "metrics-on.prom").read_text()
         assert "repro_slots_total" in metrics_text
-        assert "repro_solver_iterations" in metrics_text
+        assert "repro_exact_solves_total" in metrics_text
 
     def test_jobs2_results_byte_identical_checkpoint_content_equal(
             self, tmp_path):
@@ -102,7 +102,8 @@ class TestMetricsParallelInvariance:
             return sorted(
                 line for line in text.splitlines()
                 if line.startswith(("repro_slots_total", "repro_access_",
-                                    "repro_solver_", "repro_user_psnr_db",
+                                    "repro_solver_", "repro_exact_",
+                                    "repro_user_psnr_db",
                                     "repro_degradations_total")))
 
         assert engine_lines("agg-1", 1) == engine_lines("agg-2", 2)

@@ -146,7 +146,7 @@ class _InlineOnlyAllocator:
 
 class TestCapabilityFlags:
     def test_batchable_schemes_follow_the_registry(self):
-        assert batchable_schemes() == ("proposed", "proposed-fast")
+        assert batchable_schemes() == ("proposed",)
 
     def test_non_batchable_schemes_plan_as_singletons(self):
         config = interfering_fbs_scenario(

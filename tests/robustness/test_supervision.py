@@ -224,14 +224,6 @@ class TestSupervisionTelemetry:
                 obs.enable_metrics(False)
                 obs.reset_metrics()
 
-        def normalise(value):
-            # Histogram sums are float accumulations folded in cell
-            # *completion* order under a pool, which can differ from
-            # serial order by an ulp; bucket counts stay exact.
-            if isinstance(value, dict) and "sum" in value:
-                return dict(value, sum=round(float(value["sum"]), 6))
-            return value
-
         def deterministic(snapshot):
             # Wall-clock samples (busy/phase seconds) legitimately vary
             # between runs, and cache-traffic counters (scenario-store
@@ -240,7 +232,9 @@ class TestSupervisionTelemetry:
             # other event-count sample must not vary.
             cache_prefixes = ("repro_scenario_store_requests_total",
                               "repro_video_rd_table_requests_total")
-            return {section: {key: normalise(value)
+            # Histogram sums are compared exactly: the runner folds
+            # worker snapshots in plan order, not completion order.
+            return {section: {key: value
                               for key, value in samples.items()
                               if "seconds" not in key
                               and not key.startswith(cache_prefixes)}
