@@ -23,11 +23,15 @@ from __future__ import annotations
 
 import math
 import os
+import signal
+import threading
 import time
 from abc import ABC, abstractmethod
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
+from multiprocessing import parent_process
+from multiprocessing.connection import wait as _connection_wait
 from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.exec.plan import Cell, ensure_picklable
@@ -131,6 +135,35 @@ def _run_cells(cells: Sequence[Cell]
         else:
             out.extend(_execute_cell(cell) for cell in group)
     return out
+
+
+def _exit_with_parent(sentinel) -> None:
+    """Block until the parent process is gone, then end this worker."""
+    _connection_wait([sentinel])
+    os._exit(1)
+
+
+def init_pool_worker() -> None:
+    """Start-up of every pool worker process (both executors).
+
+    Workers are forked, so they inherit the parent's signal handlers:
+    under the CLI that is the shutdown coordinator, which would make a
+    worker shrug off SIGTERM and run the parent's abort flushers on a
+    second Ctrl-C.  SIGINT is ignored instead (draining in-flight cells
+    is the parent coordinator's contract) and SIGTERM kills again.
+
+    A worker also exits as soon as its parent dies, however it died.
+    Blocking reads on pool pipes never see EOF then, because forked
+    siblings hold the parent's pipe ends too; the parent sentinel of a
+    worker is held open only by the parent and later-forked siblings,
+    so the youngest worker exits first and the rest follow in turn.
+    """
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    parent = parent_process()
+    if parent is not None:
+        threading.Thread(target=_exit_with_parent, args=(parent.sentinel,),
+                         name="repro-parent-watch", daemon=True).start()
 
 
 def _run_chunk(chunk: Sequence[Cell]
@@ -239,7 +272,8 @@ class ParallelExecutor(Executor):
         logger.info("dispatching %d cells as %d chunks to %d workers",
                     len(cells), len(chunks), self.jobs)
         drained = False
-        with ProcessPoolExecutor(max_workers=self.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=self.jobs,
+                                 initializer=init_pool_worker) as pool:
             futures = {pool.submit(_run_chunk, chunk): chunk
                        for chunk in chunks}
             for future in as_completed(futures):
@@ -291,7 +325,8 @@ class ParallelExecutor(Executor):
 
         apply_backoff(cell.config.seed, cell.run_index, 1,
                       reason="worker-crash")
-        with ProcessPoolExecutor(max_workers=1) as pool:
+        with ProcessPoolExecutor(max_workers=1,
+                                 initializer=init_pool_worker) as pool:
             future = pool.submit(_run_chunk, [cell])
             try:
                 [(_, result, seconds)] = future.result()

@@ -291,14 +291,17 @@ def _supervised_worker(conn) -> None:
 
     SIGINT is ignored so a terminal Ctrl-C (delivered to the whole
     foreground process group) cannot kill workers mid-cell -- draining
-    in-flight cells is the parent coordinator's contract.  SIGTERM keeps
+    in-flight cells is the parent coordinator's contract.  SIGTERM has
     its default action: it is how the watchdog kills a hung worker.
+    The worker exits with its parent (see
+    :func:`~repro.exec.executor.init_pool_worker`).
     """
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
     # Resolved through the module so test-time interception of
     # _execute_cell keeps working under fork, exactly like the
     # unsupervised pool.
     from repro.exec import executor as _executor
+
+    _executor.init_pool_worker()
 
     while True:
         try:

@@ -18,7 +18,6 @@ import math
 from typing import Protocol
 
 import numpy as np
-from scipy import special as _special
 
 from repro.utils.errors import ConfigurationError
 from repro.utils.rng import RandomState, as_generator, batched_exponential
@@ -85,8 +84,11 @@ class NakagamiFading:
 
     def cdf(self, threshold: float) -> float:
         """Regularised lower incomplete gamma ``P(m, m H / mean)``."""
+        # Deferred: keeps scipy out of cold start (no registered scenario uses Nakagami).
+        from scipy.special import gammainc
+
         threshold = check_positive(threshold, "threshold", allow_zero=True)
-        return float(_special.gammainc(self.m, self.m * threshold / self.mean_sinr))
+        return float(gammainc(self.m, self.m * threshold / self.mean_sinr))
 
     def sample(self, rng: RandomState, size=None):
         """Sample instantaneous SINR values."""

@@ -249,6 +249,12 @@ def plan_scenario_hashes(spec: dict) -> List[str]:
     return hashes
 
 
+def _submission_key(job_id: str) -> Tuple[int, str]:
+    """Sort key putting job ids in submission order (``job-0001`` ...)."""
+    _, _, tail = job_id.partition("-")
+    return (int(tail) if tail.isdigit() else -1, job_id)
+
+
 class JobManager:
     """Bounded worker pool draining a persistent job queue.
 
@@ -279,6 +285,8 @@ class JobManager:
         self._threads: List[threading.Thread] = []
         self._stopping = threading.Event()
         self._metrics = MetricsRegistry()
+        # Finished jobs whose snapshots wait for an earlier-submitted job.
+        self._unabsorbed: Dict[str, dict] = {}
         self._started = False
 
     # ------------------------------------------------------------------
@@ -410,6 +418,7 @@ class JobManager:
                 record["error"] = "cancelled while queued"
                 self._finish_metrics(record)
             self._save(record)
+            self._absorb_in_submission_order()
             proc = self._procs.get(job_id)
         if proc is not None and proc.poll() is None:
             try:
@@ -446,7 +455,8 @@ class JobManager:
 
         Completed jobs' ``--metrics`` JSON snapshots are folded in with
         :meth:`MetricsRegistry.absorb` -- the executor's own
-        cross-process aggregation -- as they finish; this refreshes the
+        cross-process aggregation -- in submission order, so the totals
+        do not depend on which job finished first; this refreshes the
         per-state job gauges and returns the registry.
         """
         with self._lock:
@@ -591,6 +601,7 @@ class JobManager:
                             record["error"] = "internal worker error"
                             self._finish_metrics(record)
                             self._save(record)
+                            self._absorb_in_submission_order()
                 except JobError:
                     pass
             finally:
@@ -694,9 +705,10 @@ class JobManager:
             record["finished"] = time.time()
             requeue = self._apply_exit_code(record, code)
             if record["state"] in TERMINAL_STATES:
-                self._absorb_job_metrics(record)
                 self._finish_metrics(record)
+                self._unabsorbed[job_id] = record
             self._save(record)
+            self._absorb_in_submission_order()
         if requeue:
             self._queue.put(job_id)
         logger.info("serve: %s exited %d -> %s", job_id, code,
@@ -740,6 +752,26 @@ class JobManager:
             record["state"] = "failed"
             record["error"] = f"job process exited with code {code}"
         return False
+
+    def _absorb_in_submission_order(self) -> None:
+        """Fold finished jobs' snapshots in submission order.
+
+        Histogram sums are float accumulations, so folding snapshots as
+        jobs finish would make ``/metrics`` depend on scheduling (the
+        same hazard :class:`~repro.sim.runner._PlanOrderAbsorber` solves
+        for cells).  A finished job's snapshot waits until every
+        earlier-submitted job is terminal.  Call with the lock held.
+        """
+        if not self._unabsorbed:
+            return
+        pending = [job_id for job_id, record
+                   in self.workspace.job_records().items()
+                   if record.get("state") not in TERMINAL_STATES]
+        horizon = min(map(_submission_key, pending), default=None)
+        for job_id in sorted(self._unabsorbed, key=_submission_key):
+            if horizon is not None and _submission_key(job_id) > horizon:
+                break
+            self._absorb_job_metrics(self._unabsorbed.pop(job_id))
 
     def _absorb_job_metrics(self, record: dict) -> None:
         """Fold a finished job's metrics snapshot into the server registry."""

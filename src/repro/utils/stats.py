@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import stats as _scipy_stats
 
 
 @dataclass(frozen=True)
@@ -73,7 +72,10 @@ def mean_confidence_interval(samples: Sequence[float], confidence: float = 0.95)
     if n == 1:
         return ConfidenceInterval(mean=mean, half_width=0.0, confidence=confidence, n_samples=1)
     sem = float(arr.std(ddof=1)) / math.sqrt(n)
-    t_crit = float(_scipy_stats.t.ppf(0.5 + confidence / 2.0, df=n - 1))
+    # Deferred: keeps scipy out of cold start; stdtrit is bit-identical to t.ppf.
+    from scipy.special import stdtrit
+
+    t_crit = float(stdtrit(n - 1, 0.5 + confidence / 2.0))
     return ConfidenceInterval(mean=mean, half_width=t_crit * sem, confidence=confidence, n_samples=n)
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special
 
 from repro.phy.fading import BlockFadingLink, NakagamiFading, RayleighFading
 from repro.utils.errors import ConfigurationError
@@ -69,6 +70,12 @@ class TestNakagami:
     def test_invalid_shape(self):
         with pytest.raises(ConfigurationError):
             NakagamiFading(5.0, m=0.2)
+
+    @pytest.mark.parametrize("m", [0.5, 1.0, 2.5, 4.0])
+    @pytest.mark.parametrize("threshold", [0.0, 0.5, 3.0, 20.0])
+    def test_cdf_is_gammainc(self, m, threshold):
+        fading = NakagamiFading(mean_sinr=6.0, m=m)
+        assert fading.cdf(threshold) == float(special.gammainc(m, m * threshold / 6.0))
 
 
 class TestBlockFadingLink:

@@ -10,6 +10,7 @@ CLI run produces at a different ``--jobs`` count.
 """
 
 import time
+from pathlib import Path
 
 import pytest
 
@@ -31,6 +32,35 @@ def wait_until(predicate, timeout=WAIT, interval=0.05):
     raise AssertionError("condition not met in time")
 
 
+def _stat_fields(pid):
+    """``(state, ppid)`` of a live process from /proc, or ``None``."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return None
+    # The command name may contain spaces; fields resume after its ')'.
+    state, ppid = stat.rpartition(")")[2].split()[:2]
+    return state, int(ppid)
+
+
+def process_tree(pid):
+    """``pid`` plus every live descendant, scanned from /proc."""
+    tree = {pid}
+    while True:
+        children = {int(entry.name) for entry in Path("/proc").iterdir()
+                    if entry.name.isdigit()
+                    and int(entry.name) not in tree
+                    and (_stat_fields(entry.name) or ("", 0))[1] in tree}
+        if not children:
+            return tree
+        tree |= children
+
+
+def alive(pid):
+    fields = _stat_fields(pid)
+    return fields is not None and fields[0] != "Z"
+
+
 @pytest.fixture
 def crashed(tmp_path):
     """A workspace holding one job killed mid-sweep, plus its id."""
@@ -48,7 +78,11 @@ def crashed(tmp_path):
                    if line.strip())
 
     wait_until(lambda: cells_checkpointed() >= 2)
+    # The --jobs 2 job child and its pool workers: none may outlive it.
+    job_pids = process_tree(first_life.get(job_id)["pid"])
     first_life.kill()
+    wait_until(lambda: not any(alive(pid) for pid in job_pids),
+               timeout=30.0)
     yield workspace, job_id
     # (second-life managers are stopped by the tests themselves)
 

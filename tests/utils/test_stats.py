@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy import stats
 
 from repro.utils.stats import (
     ConfidenceInterval,
@@ -30,9 +31,19 @@ class TestMeanConfidenceInterval:
         # n=4, std=1: half-width = t_{0.975,3} * 1/2 = 3.182 * 0.5
         samples = [0.0, 0.0, 2.0, 2.0]  # mean 1, sd = 1.1547
         ci = mean_confidence_interval(samples)
-        sem = np.std(samples, ddof=1) / 2.0
-        assert ci.mean == pytest.approx(1.0)
+        sem = float(np.std(samples, ddof=1)) / 2.0
+        assert ci.mean == 1.0
+        assert ci.half_width == float(stats.t.ppf(0.975, df=3)) * sem
         assert ci.half_width == pytest.approx(3.18245 * sem, rel=1e-4)
+
+    @pytest.mark.parametrize("confidence", [0.9, 0.95, 0.99])
+    @pytest.mark.parametrize("n", [2, 3, 4, 10, 11, 30, 101])
+    def test_half_width_is_scipy_t_quantile(self, n, confidence):
+        # Bit-identical to scipy.stats' Student-t quantile, not just close.
+        samples = np.random.default_rng(n).normal(1.0, 2.0, size=n)
+        ci = mean_confidence_interval(samples, confidence=confidence)
+        sem = float(np.std(samples, ddof=1)) / math.sqrt(n)
+        assert ci.half_width == float(stats.t.ppf(0.5 + confidence / 2.0, df=n - 1)) * sem
 
     def test_coverage_monte_carlo(self):
         # ~95% of intervals from a normal sample should contain the mean.
